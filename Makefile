@@ -101,12 +101,14 @@ fuzz-smoke:
 # alloc is the allocation-regression gate on the pooled hot path
 # (DESIGN.md "Pooled batch lifecycle"): the warm view-served
 # scan→filter→apply pipeline must stay at ~0 allocs/row (measured as a
-# marginal between two scan lengths), and the committed
-# BENCH_alloc.json baseline must satisfy the same gate with all
-# pooled/unpooled matrix digests identical. Runs without -race: the
-# race detector perturbs allocation counts (the test skips itself).
+# marginal between two scan lengths), the cold materialising
+# detector→CarType run under vbench.ColdAllocGate allocs per stored
+# view row, and the committed BENCH_alloc.json baseline must satisfy
+# the warm gate with all pooled/unpooled matrix digests identical.
+# Runs without -race: the race detector perturbs allocation counts
+# (the tests skip themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestAllocBaselineCommitted' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestColdPathAllocsPerRow|TestAllocBaselineCommitted' .
 
 # scrub runs the self-healing view storage matrix under the race
 # detector: every view-building testdata script × corruption sites

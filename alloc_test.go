@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"eva"
@@ -104,6 +105,76 @@ func TestWarmPathAllocsPerRow(t *testing.T) {
 	st := sys.PoolStats()
 	if st.Hits == 0 || st.Puts == 0 {
 		t.Errorf("pool not engaged on the warm path: %+v", st)
+	}
+}
+
+// Cold-path gate: scan lengths of the detector→CarType query whose
+// materialising run is measured.
+const (
+	coldShortFrames = 128
+	coldLongFrames  = 512
+)
+
+func coldGateQuery(frames int) string {
+	return fmt.Sprintf(`SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
+		WHERE id < %d AND label = 'car' AND CarType(frame, bbox) = 'Nissan'`, frames)
+}
+
+// coldAllocs runs the query once on a fresh System, so every UDF
+// result is evaluated and materialized, and returns the heap
+// allocations of that run with the number of view rows it stored. The
+// smallest of three runs is kept: background work can only add.
+func coldAllocs(t *testing.T, frames int) (allocs float64, viewRows int) {
+	t.Helper()
+	allocs = -1
+	for i := 0; i < 3; i++ {
+		sys, err := eva.Open(eva.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Exec(`LOAD VIDEO 'medium-ua-detrac' INTO video`); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := sys.Exec(coldGateQuery(frames))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Recycle(res.Rows)
+		n := float64(after.Mallocs - before.Mallocs)
+		if allocs < 0 || n < allocs {
+			allocs = n
+		}
+		viewRows = 0
+		for _, rows := range sys.ViewRows() {
+			viewRows += rows
+		}
+		sys.Close()
+	}
+	return allocs, viewRows
+}
+
+// TestColdPathAllocsPerRow is the cold-path gate: marginal allocations
+// per materialized view row on the first run of a detector→CarType
+// query — detection, classification and the appends into both views —
+// must stay under vbench.ColdAllocGate. As in the warm gate, two scan
+// lengths cancel the per-query overhead.
+func TestColdPathAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	short, shortRows := coldAllocs(t, coldShortFrames)
+	long, longRows := coldAllocs(t, coldLongFrames)
+	if longRows <= shortRows {
+		t.Fatalf("long query materialized %d view rows, short %d", longRows, shortRows)
+	}
+	perRow := (long - short) / float64(longRows-shortRows)
+	t.Logf("cold allocs/run: short=%.0f (%d view rows) long=%.0f (%d view rows) marginal=%.2f/row",
+		short, shortRows, long, longRows, perRow)
+	if perRow > vbench.ColdAllocGate {
+		t.Errorf("cold materialising path allocates %.2f/view row, gate %.1f", perRow, vbench.ColdAllocGate)
 	}
 }
 

@@ -70,6 +70,10 @@ type UDF struct {
 	// Expensive marks the UDF as a materialization candidate; the
 	// optimizer profiles cost against a threshold (§3.1 step ①).
 	Expensive bool
+	// Key is the lower-cased Name, set by RegisterUDF: the
+	// case-insensitive identity the runtime keys counters, breakers and
+	// builtin dispatch by, computed once instead of per invocation.
+	Key string
 }
 
 // OutputColumn returns the single output column name of a scalar UDF.
@@ -149,9 +153,10 @@ func (c *Catalog) RegisterUDF(u *UDF) error {
 	if u.Name == "" {
 		return fmt.Errorf("catalog: UDF with empty name")
 	}
+	u.Key = strings.ToLower(u.Name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.udfs[strings.ToLower(u.Name)] = u
+	c.udfs[u.Key] = u
 	return nil
 }
 

@@ -79,6 +79,14 @@ type Context struct {
 	noPipeline int // build-time: >0 while under a Limit (no stages)
 	dl         *deadlineState
 	stages     []*stageIter // pipeline stages of the current Run
+
+	// Test seams, nil outside tests. afterProbeRow runs after the
+	// apply probe of each input row, and beforeClaim between a session
+	// batch's probe and claim phases: the windows in which a concurrent
+	// session can append to a probed view or publish and release the
+	// keys this batch is about to claim.
+	afterProbeRow func(row int)
+	beforeClaim   func()
 }
 
 func (c *Context) batchSize() int {
@@ -561,6 +569,9 @@ func (a *applyIter) next() (*types.Batch, error) {
 	}
 	decisions := a.probePhase(b)
 	if a.ctx.Sessions && a.store != nil {
+		if a.ctx.beforeClaim != nil {
+			a.ctx.beforeClaim()
+		}
 		a.claimPhase(b, decisions)
 	}
 	a.evalPhase(b, decisions)
@@ -598,9 +609,11 @@ func (a *applyIter) next() (*types.Batch, error) {
 // any key is owned by a concurrent session, we wait — holding no
 // claims of our own, so no cycle can form — for that session to
 // publish and release, re-probe the refreshed view, and retry with
-// whatever keys are still unserved. Keys that became servable are
-// reused instead of recomputed, which is the no-double-compute
-// invariant of the serving layer.
+// whatever keys are still unserved. A granted claim is re-probed too:
+// a session may have published the keys and released its claim after
+// our probe but before our grant, and the claim table no longer shows
+// it. Keys that became servable are reused instead of recomputed,
+// which is the no-double-compute invariant of the serving layer.
 func (a *applyIter) claimPhase(b *types.Batch, decisions []rowDecision) {
 	for {
 		keys := a.unservedKeys(decisions)
@@ -610,10 +623,14 @@ func (a *applyIter) claimPhase(b *types.Batch, decisions []rowDecision) {
 		granted, busy := a.store.ClaimKeys(keys)
 		if granted {
 			a.claimed = keys
+			// The check after the grant is free on the virtual clock:
+			// uncontended it serves nothing, and charging it would make
+			// session mode's virtual time differ from a solo run's.
+			a.reprobe(b, decisions, false)
 			return
 		}
 		<-busy
-		a.reprobe(b, decisions)
+		a.reprobe(b, decisions, true)
 	}
 }
 
@@ -637,43 +654,73 @@ func (a *applyIter) unservedKeys(decisions []rowDecision) []string {
 }
 
 // reprobe re-runs the exact view probe for rows still queued for
-// evaluation, serving the ones a concurrent session published while we
-// waited for its claim.
-func (a *applyIter) reprobe(b *types.Batch, decisions []rowDecision) {
-	readCost := costs.TableViewReadCost
-	if !a.node.TableUDF {
-		readCost = costs.ScalarViewReadCost
-	}
-	snaps := map[*storage.View]*types.Batch{}
+// evaluation, serving — materialized from the snapshot — the ones a
+// concurrent session published since the probe phase. chargeProbe
+// charges each re-probe's modelled cost.
+func (a *applyIter) reprobe(b *types.Batch, decisions []rowDecision, chargeProbe bool) {
+	readCost := a.viewReadCost()
+	nKey := len(a.node.KeyCols)
 	for r := range decisions {
 		d := &decisions[r]
 		if d.served {
 			continue
 		}
-		a.ctx.Clock.Charge(simclock.CatApply, costs.ProbeCost)
-		for _, view := range a.probeViews {
-			if !view.HasKey(d.key) {
-				continue
-			}
-			a.ctx.Runtime.RecordReuse(a.node.Eval)
-			a.ctx.Clock.Charge(simclock.CatReadView, readCost)
-			s, ok := snaps[view]
-			if !ok {
-				s = view.Scan()
-				snaps[view] = s
-			}
-			nKey := len(a.node.KeyCols)
-			for _, vi := range view.RowsForKey(d.key) {
-				row := b.Row(r)
-				for c := nKey; c < len(view.Schema()); c++ {
-					row = append(row, s.At(vi, c))
-				}
-				d.viewRows = append(d.viewRows, row)
-			}
-			d.served = true
-			break
+		if chargeProbe {
+			a.ctx.Clock.Charge(simclock.CatApply, costs.ProbeCost)
 		}
+		a.ekBuf = storage.AppendKey(a.ekBuf[:0], d.key)
+		snap, rows, ok := a.serveFromViews(readCost)
+		if !ok {
+			continue
+		}
+		for _, vi := range rows {
+			row := b.Row(r)
+			for c := nKey; c < len(snap.Schema()); c++ {
+				row = append(row, snap.At(vi, c))
+			}
+			d.viewRows = append(d.viewRows, row)
+		}
+		d.served = true
 	}
+}
+
+// viewReadCost is the modelled cost of serving one invocation from a
+// view.
+func (a *applyIter) viewReadCost() time.Duration {
+	if a.node.TableUDF {
+		return costs.TableViewReadCost
+	}
+	return costs.ScalarViewReadCost
+}
+
+// serveFromViews looks the key encoded in a.ekBuf up in each probe
+// view in turn. On the first hit it records the reuse, charges
+// readCost, and returns the view's snapshot with the indexes of the
+// key's rows in it.
+// Snapshots are cached per batch in a.snaps and re-taken when the
+// probe reports rows the cached one does not cover: a concurrent
+// session may have appended since it was taken.
+func (a *applyIter) serveFromViews(readCost time.Duration) (*types.Batch, []int, bool) {
+	for vi, view := range a.probeViews {
+		rows, covered, ok := view.Probe(a.ekBuf)
+		if !ok {
+			continue
+		}
+		snap := a.snaps[vi]
+		if snap == nil || snap.Len() < covered {
+			snap = view.Scan()
+			a.snaps[vi] = snap
+		}
+		if snap.Len() < covered {
+			// The view shrank between the probe and the scan (evicted
+			// or salvaged): its rows are gone, so recompute.
+			continue
+		}
+		a.ctx.Runtime.RecordReuse(a.evalLower)
+		a.ctx.Clock.Charge(simclock.CatReadView, readCost)
+		return snap, rows, true
+	}
+	return nil, nil, false
 }
 
 // releaseClaims returns this batch's claimed store-view keys, waking
@@ -740,10 +787,7 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 	for i := range a.snaps {
 		a.snaps[i] = nil
 	}
-	readCost := costs.TableViewReadCost
-	if !a.node.TableUDF {
-		readCost = costs.ScalarViewReadCost
-	}
+	readCost := a.viewReadCost()
 
 	for r := 0; r < b.Len(); r++ {
 		for i, idx := range a.keyIdx {
@@ -754,21 +798,9 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		a.ctx.Clock.Charge(simclock.CatApply, costs.ProbeCost)
 
 		d := &decisions[r]
-		for vi, view := range a.probeViews {
-			if !view.HasKeyBytes(a.ekBuf) {
-				continue
-			}
-			a.ctx.Runtime.RecordReuse(a.evalLower)
-			a.ctx.Clock.Charge(simclock.CatReadView, readCost)
-			// Per-batch view snapshots: row indexes from RowsForKeyBytes
-			// stay valid because views are append-only.
-			if a.snaps[vi] == nil {
-				a.snaps[vi] = view.Scan()
-			}
-			d.snap = a.snaps[vi]
-			d.viewIdx = view.RowsForKeyBytes(a.ekBuf)
-			d.served = true
-			break
+		d.snap, d.viewIdx, d.served = a.serveFromViews(readCost)
+		if a.ctx.afterProbeRow != nil {
+			a.ctx.afterProbeRow(r)
 		}
 		if !d.served && len(a.fuzzy) > 0 {
 			if rows, ok := a.serveFuzzy(b, r, readCost); ok {

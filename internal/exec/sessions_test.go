@@ -103,7 +103,7 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 		t.Fatalf("unserved keys = %d, want 8", len(keys))
 	}
 	publishDetRows(t, ctx.Store.View("det_view"), 0, 3)
-	a.reprobe(b, decisions)
+	a.reprobe(b, decisions, true)
 	served := 0
 	for r := range decisions {
 		if decisions[r].served {
@@ -216,5 +216,74 @@ func TestStagedViewRowsChargeAndDegrade(t *testing.T) {
 	}
 	if bud2.Degrades() != 0 {
 		t.Errorf("funded apply degraded %d times", bud2.Degrades())
+	}
+}
+
+// TestProbeResnapshotsAfterConcurrentAppend is the regression test for
+// the stale-snapshot panic under concurrent queries: the first row of
+// a batch is served from the view (caching a snapshot), then another
+// writer appends the rest of the batch's keys before their probes. The
+// later rows' indexes lie past the cached snapshot, so the probe must
+// re-snapshot instead of letting assembly index out of range.
+func TestProbeResnapshotsAfterConcurrentAppend(t *testing.T) {
+	ctx := testCtx(t, vision.MediumUADetrac)
+	it, err := build(ctx, detectorNode(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ctx.Store.View("det_view")
+	publishDetRows(t, v, 0, 1)
+	ctx.afterProbeRow = func(row int) {
+		if row == 0 {
+			publishDetRows(t, v, 1, 4)
+		}
+	}
+	out, err := it.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 4 {
+		t.Fatalf("apply emitted %d rows, want 4", out.Len())
+	}
+	bbox := out.Schema().IndexOf("bbox")
+	for r := 0; r < out.Len(); r++ {
+		if got := out.At(r, bbox).Str(); got != "0,0,10,10" {
+			t.Errorf("row %d bbox %q, want the published row", r, got)
+		}
+	}
+	if st := ctx.Runtime.CounterSnapshot()["fasterrcnnresnet50"]; st.Evaluated != 0 || st.Reused != 4 {
+		t.Errorf("stats = %+v, want every row served from the view", st)
+	}
+}
+
+// TestSessionsRecheckAfterGrantedClaim is the regression test for the
+// singleflight double compute: session A is parked between its probe
+// (every key missing) and its claim while session B evaluates the same
+// keys, publishes them and releases its claim. A's claim is then
+// granted — nobody holds the keys any more — and only the re-probe
+// after the grant keeps A from evaluating them a second time.
+func TestSessionsRecheckAfterGrantedClaim(t *testing.T) {
+	a := testCtx(t, vision.MediumUADetrac)
+	a.Sessions = true
+	b := *a
+	a.beforeClaim = func() {
+		a.beforeClaim = nil
+		if _, err := Run(&b, detectorNode(0, 4)); err != nil {
+			t.Error(err)
+		}
+	}
+	out, err := Run(a, detectorNode(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Run(&b, detectorNode(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != solo.Len() {
+		t.Errorf("parked session emitted %d rows, solo run %d", out.Len(), solo.Len())
+	}
+	if st := a.Runtime.CounterSnapshot()["fasterrcnnresnet50"]; st.Evaluated != 4 {
+		t.Errorf("two sessions evaluated %d invocations of 4 keys — double compute", st.Evaluated)
 	}
 }

@@ -149,7 +149,7 @@ func (v *View) adoptHolesLocked() {
 	q := &Quarantine{
 		Ranges:       append([]LostRange(nil), v.holes...),
 		SalvagedRows: v.batch.Len(),
-		SalvagedKeys: len(v.processed),
+		SalvagedKeys: len(v.index),
 	}
 	for _, r := range q.Ranges {
 		q.LostBytes += r.Hi - r.Lo
@@ -203,8 +203,8 @@ func (v *View) SurvivedIDRanges() (ranges []IDRange, ok bool) {
 	if idPos < 0 {
 		return nil, false
 	}
-	ids := make([]int64, 0, len(v.processed))
-	for k := range v.processed {
+	ids := make([]int64, 0, len(v.index))
+	for k := range v.index {
 		b := []byte(k)
 		var d types.Datum
 		for c := 0; c <= idPos; c++ {
@@ -310,9 +310,9 @@ func (v *View) Verify() (ScrubResult, error) {
 	// knows: the same holes it has already quarantined (or none), every
 	// byte accounted for, and the same index. Known holes are not a new
 	// detection — the pass only re-confirms the standing quarantine.
-	prevRows, prevKeys := v.batch.Len(), len(v.processed)
+	prevRows, prevKeys := v.batch.Len(), len(v.index)
 	unchanged := sameRanges(shadow.holes, v.quar) && int64(valid) == int64(len(data)) &&
-		shadow.batch.Len() == prevRows && len(shadow.processed) == prevKeys
+		shadow.batch.Len() == prevRows && len(shadow.index) == prevKeys
 	if unchanged {
 		res.Clean = v.quar == nil
 		res.Quar = v.quar.clone()
@@ -327,7 +327,7 @@ func (v *View) Verify() (ScrubResult, error) {
 	if dropped := prevRows - shadow.batch.Len(); dropped > 0 {
 		res.RowsDropped = dropped
 	}
-	v.batch, v.rowsByKey, v.processed = shadow.batch, shadow.rowsByKey, shadow.processed
+	v.batch, v.index, v.ords = shadow.batch, shadow.index, shadow.ords
 	v.openTrusted, v.openVerified = 0, shadow.openVerified
 	v.holes = shadow.holes
 	if int64(valid) < int64(len(data)) {
@@ -388,10 +388,7 @@ func (v *View) shadowLocked() *View {
 func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.FoundCorruption = true
 	res.RowsDropped = v.batch.Len()
-	v.batch = types.NewBatch(v.schema.Clone())
-	v.rowsByKey = map[string][]int{}
-	v.processed = map[string]struct{}{}
-	v.openTrusted, v.openVerified = 0, 0
+	v.resetReplayState()
 	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
 	if err := v.file.Truncate(0); err != nil {
 		v.dead = true
@@ -516,9 +513,9 @@ func (v *View) Compact() (CompactResult, error) {
 			err = rerr
 		case valid != len(nd) || len(shadow.holes) > 0:
 			err = fmt.Errorf("new generation failed verification")
-		case shadow.batch.Len() != v.batch.Len() || len(shadow.processed) != len(v.processed):
+		case shadow.batch.Len() != v.batch.Len() || len(shadow.index) != len(v.index):
 			err = fmt.Errorf("new generation rebuilt %d rows/%d keys, want %d/%d",
-				shadow.batch.Len(), len(shadow.processed), v.batch.Len(), len(v.processed))
+				shadow.batch.Len(), len(shadow.index), v.batch.Len(), len(v.index))
 		}
 	}
 	if err != nil {
@@ -575,15 +572,15 @@ func (v *View) encodeCompactLocked() []byte {
 		}
 		var payload []byte
 		for r := base; r < base+n; r++ {
-			for _, d := range v.batch.Row(r) {
-				payload = d.AppendBinary(payload)
+			for c := range v.schema {
+				payload = v.batch.At(r, c).AppendBinary(payload)
 			}
 		}
 		buf = sealRecord(buf, recRows, n, payload)
 	}
 	var zero []string
-	for k := range v.processed {
-		if len(v.rowsByKey[k]) == 0 {
+	for k, rows := range v.index {
+		if len(rows) == 0 {
 			zero = append(zero, k)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,9 +15,10 @@ import (
 )
 
 // View is an append-only materialized view of UDF results. Rows carry
-// the key columns plus the UDF's output columns; separately, the view
-// records every *processed key* so that keys whose evaluation produced
-// zero rows (e.g. frames with no detections) are not re-evaluated.
+// the key columns plus the UDF's output columns. One key index maps
+// every *processed key* to its stored rows, so keys whose evaluation
+// produced zero rows (e.g. frames with no detections) are indexed too
+// and not re-evaluated.
 //
 // The view persists every append to its backing file and rebuilds its
 // in-memory index when reopened. Appends are crash-safe: the log
@@ -33,15 +35,26 @@ type View struct {
 	keyIdx  []int
 	site    string // fault-injection site name
 
-	mu        sync.RWMutex
-	batch     *types.Batch        // guarded by mu
-	rowsByKey map[string][]int    // guarded by mu
-	processed map[string]struct{} // guarded by mu
-	file      *os.File            // guarded by mu
-	footprint int64               // guarded by mu
-	dead      bool                // guarded by mu; simulated crash hit this view
-	recovered int64               // guarded by mu; torn-tail bytes dropped at open
-	inj       *faults.Injector    // guarded by mu
+	mu    sync.RWMutex
+	batch *types.Batch // guarded by mu
+	// index is the view's one key index: an encoded key maps to the
+	// indexes of its stored rows, and a key's presence means it was
+	// processed — a key whose evaluation produced no rows maps to an
+	// empty slice. guarded by mu.
+	index map[string][]int
+	// ords holds ords[i] == i for every stored row. A key's rows are
+	// contiguous (one append stores all of them, and later appends skip
+	// processed keys), so its index entry is the subslice
+	// ords[first:last+1] and indexing a row allocates nothing. guarded
+	// by mu.
+	ords []int
+	// keyBuf is scratch for encoding one key. guarded by mu (write).
+	keyBuf    []byte
+	file      *os.File         // guarded by mu
+	footprint int64            // guarded by mu
+	dead      bool             // guarded by mu; simulated crash hit this view
+	recovered int64            // guarded by mu; torn-tail bytes dropped at open
+	inj       *faults.Injector // guarded by mu
 	// quar records the byte ranges lost to corruption salvage, pending
 	// symbolic repair and compaction; nil when the log is whole.
 	// guarded by mu.
@@ -202,18 +215,16 @@ func (v *View) writeCleanSidecarLocked() {
 
 func openView(path, name string, schema types.Schema, keyCols []string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
 	v := &View{
-		name:      name,
-		path:      path,
-		schema:    schema.Clone(),
-		keyCols:   append([]string(nil), keyCols...),
-		site:      faults.SiteViewWrite(name),
-		batch:     types.NewBatch(schema.Clone()),
-		rowsByKey: map[string][]int{},
-		processed: map[string]struct{}{},
-		claims:    map[string]chan struct{}{},
-		inj:       inj,
-		budget:    budget,
+		name:    name,
+		path:    path,
+		schema:  schema.Clone(),
+		keyCols: append([]string(nil), keyCols...),
+		site:    faults.SiteViewWrite(name),
+		claims:  map[string]chan struct{}{},
+		inj:     inj,
+		budget:  budget,
 	}
+	v.resetReplayState()
 	for _, kc := range keyCols {
 		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
 	}
@@ -314,8 +325,8 @@ func sealRecord(buf []byte, kind byte, count int, payload []byte) []byte {
 // is published, so it may touch guarded fields without the lock.
 func (v *View) resetReplayState() {
 	v.batch = types.NewBatch(v.schema.Clone()) // lint:nolock pre-publish (openView)
-	v.rowsByKey = map[string][]int{}           // lint:nolock pre-publish (openView)
-	v.processed = map[string]struct{}{}        // lint:nolock pre-publish (openView)
+	v.index = map[string][]int{}               // lint:nolock pre-publish (openView)
+	v.ords = nil                               // lint:nolock pre-publish (openView)
 	v.openTrusted, v.openVerified = 0, 0       // lint:nolock pre-publish (openView)
 	v.holes = nil                              // lint:nolock pre-publish (openView)
 }
@@ -427,7 +438,7 @@ func (v *View) replay(data []byte, trusted int64) (int, error) {
 			v.openVerified++
 		}
 		payload := data[off+recHeaderLen : end-recSumLen]
-		if err := v.replayRecord(kind, count, payload); err != nil {
+		if err := v.replayRecordLocked(kind, count, payload); err != nil {
 			if inTrusted {
 				// Inside the trusted prefix an undecodable payload
 				// means the sidecar lied (the checksum was skipped):
@@ -494,12 +505,17 @@ func resyncRecord(data []byte, off int) int {
 	return -1
 }
 
-// replayRecord decodes one verified record payload into memory.
-func (v *View) replayRecord(kind byte, count int, payload []byte) error {
+// replayRecordLocked decodes one verified record payload into memory.
+// Callers hold mu, or replay into a view (or shadow) not yet published.
+func (v *View) replayRecordLocked(kind byte, count int, payload []byte) error {
 	off := 0
 	switch kind {
 	case recRows:
+		// Every datum encodes to at least one byte, which bounds the
+		// capacity a forged count can make Grow reserve.
+		v.batch.Grow(min(count, len(payload)/max(len(v.schema), 1)))
 		row := make([]types.Datum, len(v.schema))
+		var key string
 		for r := 0; r < count; r++ {
 			for c := range row {
 				d, n, err := types.DecodeDatum(payload[off:])
@@ -509,21 +525,35 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 				row[c] = d
 				off += n
 			}
-			v.appendRowLocked(row)
+			if err := v.batch.AppendRow(row...); err != nil {
+				return fmt.Errorf("row record: %w", err)
+			}
+			v.keyBuf = v.keyBuf[:0]
+			for _, c := range v.keyIdx {
+				v.keyBuf = row[c].AppendBinary(v.keyBuf)
+			}
+			// A key's rows are contiguous in the log, so a sibling of
+			// the previous row shares its key string.
+			if string(v.keyBuf) != key {
+				key = string(v.keyBuf)
+			}
+			v.indexRowLocked(key, v.batch.Len()-1)
 		}
 	case recKeys:
-		key := make([]types.Datum, len(v.keyCols))
 		for r := 0; r < count; r++ {
-			for c := range key {
-				d, n, err := types.DecodeDatum(payload[off:])
+			start := off
+			for range v.keyCols {
+				_, n, err := types.DecodeDatum(payload[off:])
 				if err != nil {
 					return fmt.Errorf("key record: %w", err)
 				}
-				key[c] = d
 				off += n
 			}
-			// lint:nolock replay runs inside openView before the view is published
-			v.processed[encodeKey(key)] = struct{}{}
+			// The record holds the canonical key encoding itself.
+			ek := payload[start:off]
+			if _, done := v.index[string(ek)]; !done {
+				v.index[string(ek)] = nil
+			}
 		}
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
@@ -577,22 +607,13 @@ func (v *View) OpenStats() (trusted, verified int) {
 	return v.openTrusted, v.openVerified
 }
 
-// encodeKey canonically encodes a key tuple for index lookups.
-func encodeKey(key []types.Datum) string {
-	var buf []byte
-	for _, d := range key {
-		buf = d.AppendBinary(buf)
-	}
-	return string(buf)
-}
-
-// EncodeKey exposes the canonical key encoding for callers that build
+// EncodeKey returns the canonical key encoding, for callers that build
 // probe tables.
-func EncodeKey(key []types.Datum) string { return encodeKey(key) }
+func EncodeKey(key []types.Datum) string { return string(AppendKey(nil, key)) }
 
 // AppendKey appends the canonical key encoding to buf and returns it —
 // the allocation-free form of EncodeKey for probe loops that reuse a
-// scratch buffer and look up with HasKeyBytes / RowsForKeyBytes.
+// scratch buffer and look up with Probe.
 func AppendKey(buf []byte, key []types.Datum) []byte {
 	for _, d := range key {
 		buf = d.AppendBinary(buf)
@@ -600,20 +621,34 @@ func AppendKey(buf []byte, key []types.Datum) []byte {
 	return buf
 }
 
-func (v *View) rowKey(b *types.Batch, r int) string {
-	key := make([]types.Datum, len(v.keyIdx))
-	for i, c := range v.keyIdx {
-		key[i] = b.At(r, c)
+// appendRowKey appends the canonical encoding of row r's key columns.
+func (v *View) appendRowKey(buf []byte, b *types.Batch, r int) []byte {
+	for _, c := range v.keyIdx {
+		buf = b.At(r, c).AppendBinary(buf)
 	}
-	return encodeKey(key)
+	return buf
 }
 
-func (v *View) appendRowLocked(row []types.Datum) {
-	v.batch.MustAppendRow(row...)
-	r := v.batch.Len() - 1
-	key := v.rowKey(v.batch, r)
-	v.rowsByKey[key] = append(v.rowsByKey[key], r)
-	v.processed[key] = struct{}{}
+// indexRowLocked records stored row r, the view's last, under key.
+// Extending a key's contiguous run re-slices ords instead of growing a
+// per-key slice; a run broken by another key (possible only within one
+// caller-supplied batch) falls back to a private copy.
+func (v *View) indexRowLocked(key string, r int) {
+	if len(v.ords) == cap(v.ords) {
+		// Older index entries keep superseded arrays alive; doubling
+		// bounds them to the size of the live one.
+		v.ords = slices.Grow(v.ords, max(64, len(v.ords)))
+	}
+	v.ords = append(v.ords, r)
+	rows, ok := v.index[key]
+	switch {
+	case !ok:
+		v.index[key] = v.ords[r : r+1 : r+1]
+	case len(rows) > 0 && rows[0]+len(rows) == r:
+		v.index[key] = v.ords[rows[0] : r+1 : r+1]
+	default:
+		v.index[key] = append(rows[:len(rows):len(rows)], r)
+	}
 }
 
 // Append adds result rows and marks extra keys as processed (for keys
@@ -699,49 +734,51 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 
 	// Phase 1 (pure): decide which rows and keys are new and encode
-	// the log record. No in-memory state changes yet.
+	// the log record. No in-memory state changes yet. A row is stored
+	// iff its key was unprocessed when this call began; each row's key
+	// is encoded once into the scratch buffer, and a new key becomes one
+	// string shared by all its rows here and by the index later.
 	var rowBuf []byte
-	var newRowIdx []int
+	var newRows []int
+	var newRowKeys []string // parallel to newRows
 	if rows != nil {
-		// A row is stored iff its key was unprocessed when this call
-		// began. newKeys lets sibling rows of a key introduced by this
-		// very batch through, even though the key becomes processed as
-		// soon as the first sibling lands.
-		newKeys := map[string]struct{}{}
 		for r := 0; r < rows.Len(); r++ {
-			key := v.rowKey(rows, r)
-			if _, done := v.processed[key]; done {
-				if _, fresh := newKeys[key]; !fresh {
-					continue
-				}
+			v.keyBuf = v.appendRowKey(v.keyBuf[:0], rows, r)
+			if _, done := v.index[string(v.keyBuf)]; done {
+				continue
 			}
-			newKeys[key] = struct{}{}
-			newRowIdx = append(newRowIdx, r)
-			for _, d := range rows.Row(r) {
-				rowBuf = d.AppendBinary(rowBuf)
+			if n := len(newRowKeys); n > 0 && newRowKeys[n-1] == string(v.keyBuf) {
+				newRowKeys = append(newRowKeys, newRowKeys[n-1])
+			} else {
+				newRowKeys = append(newRowKeys, string(v.keyBuf))
+			}
+			newRows = append(newRows, r)
+			for c := range v.schema {
+				rowBuf = rows.At(r, c).AppendBinary(rowBuf)
 			}
 		}
 	}
 
+	// Zero-row keys are encoded straight into the record payload; ends
+	// marks where each new key's encoding stops.
 	var keyBuf []byte
-	var newKeyIdx []int
-	for ki, key := range processedKeys {
-		ek := encodeKey(key)
-		if _, done := v.processed[ek]; done {
+	var ends []int
+	for _, key := range processedKeys {
+		start := len(keyBuf)
+		keyBuf = AppendKey(keyBuf, key)
+		if _, done := v.index[string(keyBuf[start:])]; done {
+			keyBuf = keyBuf[:start]
 			continue
 		}
-		newKeyIdx = append(newKeyIdx, ki)
-		for _, d := range key {
-			keyBuf = d.AppendBinary(keyBuf)
-		}
+		ends = append(ends, len(keyBuf))
 	}
 
 	var out []byte
-	if len(newRowIdx) > 0 {
-		out = sealRecord(out, recRows, len(newRowIdx), rowBuf)
+	if len(newRows) > 0 {
+		out = sealRecord(out, recRows, len(newRows), rowBuf)
 	}
-	if len(newKeyIdx) > 0 {
-		out = sealRecord(out, recKeys, len(newKeyIdx), keyBuf)
+	if len(ends) > 0 {
+		out = sealRecord(out, recKeys, len(ends), keyBuf)
 	}
 	if len(out) == 0 {
 		return 0, nil
@@ -752,14 +789,25 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 		return 0, err
 	}
 
-	// Phase 3: memory, now that the record is durable.
-	for _, r := range newRowIdx {
-		v.appendRowLocked(rows.Row(r))
+	// Phase 3: memory, now that the record is durable. Rows are copied
+	// column by column from the caller's batch.
+	if len(newRows) > 0 {
+		base := v.batch.Len()
+		if err := v.batch.AppendRows(rows, newRows); err != nil {
+			return 0, err // unreachable: the schemas matched above
+		}
+		for i, key := range newRowKeys {
+			v.indexRowLocked(key, base+i)
+		}
 	}
-	for _, ki := range newKeyIdx {
-		v.processed[encodeKey(processedKeys[ki])] = struct{}{}
+	start := 0
+	for _, end := range ends {
+		if _, done := v.index[string(keyBuf[start:end])]; !done {
+			v.index[string(keyBuf[start:end])] = nil
+		}
+		start = end
 	}
-	return len(newRowIdx), nil
+	return len(newRows), nil
 }
 
 // writeLocked appends the encoded record to the log, consulting the
@@ -856,42 +904,22 @@ func (v *View) Rows() int {
 func (v *View) ProcessedCount() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.processed)
+	return len(v.index)
 }
 
-// HasKey reports whether the key was processed (even with zero rows).
-func (v *View) HasKey(key []types.Datum) bool {
+// Probe looks an AppendKey-encoded key up under one read lock. ok
+// reports whether the key was processed (even with zero rows); rows
+// are the indexes of its stored rows, a read-only slice that stays
+// valid because views are append-only. covered is the view's row count
+// at the probe: a Scan snapshot with at least covered rows holds every
+// returned index, so a caller reusing an earlier snapshot must re-Scan
+// when covered exceeds its Len. The string conversion in the map index
+// does not allocate, which is what the executor's probe loop needs.
+func (v *View) Probe(ek []byte) (rows []int, covered int, ok bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.processed[encodeKey(key)]
-	return ok
-}
-
-// RowsForKey returns the indexes (into Scan's batch) of the rows with
-// the given key.
-func (v *View) RowsForKey(key []types.Datum) []int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rowsByKey[encodeKey(key)]
-}
-
-// HasKeyBytes is HasKey over an AppendKey-encoded key. The string
-// conversion in the map index is recognized by the compiler and does
-// not allocate, which is what the executor's probe loop needs.
-func (v *View) HasKeyBytes(ek []byte) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	_, ok := v.processed[string(ek)]
-	return ok
-}
-
-// RowsForKeyBytes is RowsForKey over an AppendKey-encoded key. The
-// returned slice is the live index; callers must treat it as read-only
-// (it stays valid because views are append-only).
-func (v *View) RowsForKeyBytes(ek []byte) []int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rowsByKey[string(ek)]
+	rows, ok = v.index[string(ek)]
+	return rows, v.batch.Len(), ok
 }
 
 // ClaimKeys atomically claims every encoded key for evaluation by one

@@ -60,7 +60,10 @@ func TestViewConcurrentAppendScan(t *testing.T) {
 				_ = v.Rows()
 				_ = v.ProcessedCount()
 				_ = v.Footprint()
-				_ = v.HasKey([]types.Datum{types.NewInt(int64(i))})
+				if rows, covered, _ := v.Probe(AppendKey(nil, []types.Datum{types.NewInt(int64(i))})); len(rows) > 0 && rows[len(rows)-1] >= covered {
+					t.Errorf("probe returned row %d outside covered %d", rows[len(rows)-1], covered)
+					return
+				}
 			}
 		}()
 	}

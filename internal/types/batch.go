@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -106,6 +107,37 @@ func (b *Batch) AppendBatch(other *Batch) error {
 		b.cols[c] = append(b.cols[c], other.cols[c]...)
 	}
 	b.n += other.n
+	return nil
+}
+
+// Grow ensures room for n more rows in every column, at least doubling
+// a column's capacity when it must grow. A batch that grows for its
+// whole life (a materialized view) then copies each datum O(1) times
+// amortized, where append's 1.25× growth for large slices would
+// reallocate it many times over.
+func (b *Batch) Grow(n int) {
+	for c, col := range b.cols {
+		if need := len(col) + n; need > cap(col) {
+			b.cols[c] = slices.Grow(col, max(need, 2*cap(col))-len(col))
+		}
+	}
+}
+
+// AppendRows appends the rows of other listed in idx, whose schema
+// must be equal, column by column: no intermediate row slice is
+// materialized and the destination grows at most once.
+func (b *Batch) AppendRows(other *Batch, idx []int) error {
+	if !b.schema.Equal(other.schema) {
+		return fmt.Errorf("types: append rows from batch %s to batch %s", other.schema, b.schema)
+	}
+	b.Grow(len(idx))
+	for c := range b.cols {
+		src := other.cols[c]
+		for _, r := range idx {
+			b.cols[c] = append(b.cols[c], src[r])
+		}
+	}
+	b.n += len(idx)
 	return nil
 }
 

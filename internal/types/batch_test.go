@@ -165,6 +165,42 @@ func TestBatchAppendBatch(t *testing.T) {
 	}
 }
 
+func TestBatchAppendRowsAndGrow(t *testing.T) {
+	src := NewBatch(testSchema(t))
+	for i := 0; i < 5; i++ {
+		src.MustAppendRow(NewInt(int64(i)), NewString("car"), NewFloat(float64(i)/2))
+	}
+	dst := NewBatch(testSchema(t))
+	if err := dst.AppendRows(src, []int{4, 1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Len() != 3 || dst.At(0, 0).Int() != 4 || dst.At(1, 0).Int() != 1 || dst.At(2, 2).Float() != 1.5 {
+		t.Errorf("append rows wrong: %v", dst)
+	}
+	if err := dst.AppendRows(NewBatch(MustSchema(Column{"x", KindInt})), nil); err == nil {
+		t.Error("schema mismatch should error")
+	}
+	// Growth at least doubles, so a view appended to row by row
+	// reallocates a logarithmic number of times.
+	grows, last := 0, cap(dst.Col(0))
+	for i := 0; i < 4096; i++ {
+		dst.Grow(1)
+		dst.MustAppendRow(NewInt(int64(i)), NewString("bus"), NewFloat(0))
+		if c := cap(dst.Col(0)); c != last {
+			if c < 2*last {
+				t.Fatalf("capacity grew %d → %d, want at least double", last, c)
+			}
+			grows, last = grows+1, c
+		}
+	}
+	if grows > 12 {
+		t.Errorf("%d reallocations for 4096 rows", grows)
+	}
+	if dst.Len() != 4099 || dst.At(3, 1).Str() != "bus" || dst.At(0, 0).Int() != 4 {
+		t.Errorf("rows lost across growth: len %d", dst.Len())
+	}
+}
+
 func TestBatchEncodedSizeAndString(t *testing.T) {
 	b := NewBatch(testSchema(t))
 	b.MustAppendRow(NewInt(1), NewString("car"), NewFloat(0.5))

@@ -75,7 +75,7 @@ func (r *Runtime) maxAttempts() int {
 // open and its virtual-time cooldown has not elapsed. After the
 // cooldown one probe invocation is let through (half-open).
 func (d *Domain) breakerAllow(u *catalog.UDF) error {
-	key := strings.ToLower(u.Name)
+	key := u.Key
 	cd := d.r.cooldown()
 	now := d.clock.Total()
 	d.mu.Lock()
@@ -127,7 +127,7 @@ func (r *Runtime) HealthSnapshot() *HealthSnapshot { return r.def.HealthSnapshot
 // become batch-granular under snapshots: every row of a batch sees the
 // state at the batch's start, at any worker count.
 func (h *HealthSnapshot) allow(u *catalog.UDF) error {
-	openedAt, open := h.open[strings.ToLower(u.Name)]
+	openedAt, open := h.open[u.Key]
 	if !open || h.now-openedAt >= h.cooldown {
 		return nil // closed, or half-open probe
 	}
@@ -321,32 +321,37 @@ func (d *Domain) evalResilient(u *catalog.UDF, id uint64, hs *HealthSnapshot, si
 	}
 	commit := func(ok bool) {
 		if sink != nil {
-			sink.record(u.Name, ok)
+			sink.record(u.Key, ok)
 		} else {
-			d.noteOutcome(u.Name, ok)
+			d.noteOutcome(u.Key, ok)
 		}
 	}
 	max := r.maxAttempts()
-	site := faults.SiteUDF(u.Name)
+	// The fault site is named only when an injector can draw at it.
+	inj := d.injector()
+	var site string
+	if inj != nil {
+		site = faults.SiteUDF(u.Name)
+	}
 	for attempt := 1; ; attempt++ {
 		d.clock.Charge(simclock.CatUDF, u.Cost)
 		var err error
-		if ferr := d.injector().CheckEval(site, id, attempt); ferr != nil {
+		if ferr := inj.CheckEval(site, id, attempt); ferr != nil {
 			err = fmt.Errorf("udf: %s: %w", u.Name, ferr)
 		} else {
 			err = eval()
 		}
 		if err == nil {
-			r.countEval(u.Name)
-			d.noteAttempt(u.Name, false)
+			r.countEval(u.Key)
+			d.noteAttempt(u.Key, false)
 			commit(true)
 			return nil
 		}
-		r.countFailed(u.Name, faults.IsTransient(err))
-		d.noteAttempt(u.Name, faults.IsTransient(err))
+		r.countFailed(u.Key, faults.IsTransient(err))
+		d.noteAttempt(u.Key, faults.IsTransient(err))
 		if faults.IsTransient(err) && attempt < max {
 			d.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			r.countRetry(u.Name)
+			r.countRetry(u.Key)
 			continue
 		}
 		commit(false)

@@ -427,7 +427,7 @@ func (d *Domain) runScalar(u *catalog.UDF, args []types.Datum, id uint64, hs *He
 			out, err = r.runBuiltin(u, args)
 		default:
 			r.mu.Lock()
-			fn, ok := r.impls[strings.ToLower(u.Name)]
+			fn, ok := r.impls[u.Key]
 			r.mu.Unlock()
 			if !ok {
 				return fmt.Errorf("udf: no implementation registered for %s (impl %q)", u.Name, u.Impl)
@@ -449,7 +449,7 @@ func (r *Runtime) runBuiltin(u *catalog.UDF, args []types.Datum) (types.Datum, e
 	argErr := func(want string) error {
 		return fmt.Errorf("udf: %s expects (%s), got %d args", u.Name, want, len(args))
 	}
-	switch strings.ToLower(u.Name) {
+	switch u.Key {
 	case "cartype", "colordet", "license":
 		if len(args) != 2 || args[0].Kind() != types.KindBytes || args[1].Kind() != types.KindString {
 			return types.Null, argErr("frame, bbox")
@@ -458,7 +458,7 @@ func (r *Runtime) runBuiltin(u *catalog.UDF, args []types.Datum) (types.Datum, e
 			v   string
 			err error
 		)
-		switch strings.ToLower(u.Name) {
+		switch u.Key {
 		case "cartype":
 			v, err = vision.ClassifyType(args[0].Bytes(), args[1].Str())
 		case "colordet":

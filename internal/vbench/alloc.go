@@ -84,6 +84,13 @@ func DefaultAllocBench() AllocBenchConfig {
 // 256-row batch).
 const WarmAllocGate = 0.05
 
+// ColdAllocGate is the threshold on the cold materialising path's
+// marginal allocations per stored view row (TestColdPathAllocsPerRow):
+// a first detector→CarType run measures 4.5 per row (the bbox string,
+// the view key strings, amortized per-frame detector output), gated
+// with a third of headroom.
+const ColdAllocGate = 6.0
+
 // allocSetup loads the dataset and registers the cheap deterministic
 // predicate UDF the benchmark filters on.
 func allocSetup(sys *eva.System) error {

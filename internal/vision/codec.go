@@ -60,69 +60,136 @@ type DecodedFrame struct {
 }
 
 // FrameVirtualBytes reads only the payload header and returns the
-// frame's virtual decoded size (RGB24). It is the allocation-free
-// fast path for callers that need the simulated pixel volume — e.g.
-// FunCache hash-cost accounting — without materializing the object
-// list DecodeFrame builds.
+// frame's virtual decoded size (RGB24). On a well-formed payload it is
+// the allocation-free fast path for callers that need the simulated
+// pixel volume — e.g. FunCache hash-cost accounting — without
+// materializing the object list DecodeFrame builds.
 func FrameVirtualBytes(payload []byte) (int, bool) {
-	if len(payload) < 19 ||
-		binary.LittleEndian.Uint32(payload) != payloadMagic ||
-		payload[4] != payloadVersion {
+	r, err := newFrameReader(payload)
+	if err != nil {
 		return 0, false
 	}
-	w := int(binary.LittleEndian.Uint16(payload[13:]))
-	h := int(binary.LittleEndian.Uint16(payload[15:]))
-	return w * h * 3, true
+	return r.width * r.height * 3, true
 }
 
 // DecodeFrame parses a payload produced by EncodeFrame.
 func DecodeFrame(payload []byte) (DecodedFrame, error) {
 	var df DecodedFrame
-	if len(payload) < 19 {
-		return df, fmt.Errorf("vision: short payload (%d bytes)", len(payload))
+	r, err := newFrameReader(payload)
+	if err != nil {
+		return df, err
 	}
-	if binary.LittleEndian.Uint32(payload) != payloadMagic {
-		return df, fmt.Errorf("vision: bad payload magic")
-	}
-	if payload[4] != payloadVersion {
-		return df, fmt.Errorf("vision: unsupported payload version %d", payload[4])
-	}
-	df.Frame = int64(binary.LittleEndian.Uint64(payload[5:]))
-	df.Width = int(binary.LittleEndian.Uint16(payload[13:]))
-	df.Height = int(binary.LittleEndian.Uint16(payload[15:]))
-	n := int(binary.LittleEndian.Uint16(payload[17:]))
-	off := 19
-	df.Objects = make([]Object, 0, n)
-	for i := 0; i < n; i++ {
-		if off+4 > len(payload) {
-			return df, fmt.Errorf("vision: truncated object header at %d", off)
-		}
-		labelIdx, typeIdx, colorIdx := int(payload[off]), int(payload[off+1]), int(payload[off+2])
-		plateLen := int(payload[off+3])
-		off += 4
-		if off+plateLen+16 > len(payload) {
-			return df, fmt.Errorf("vision: truncated object body at %d", off)
-		}
-		if labelIdx >= len(Labels) || typeIdx >= len(VehicleTypes) || colorIdx >= len(Colors) {
-			return df, fmt.Errorf("vision: corrupt object indices at %d", off)
-		}
-		plate := string(payload[off : off+plateLen])
-		off += plateLen
-		var coords [4]float64
-		for j := range coords {
-			coords[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[off:])))
-			off += 4
+	df.Frame, df.Width, df.Height = r.frame, r.width, r.height
+	df.Objects = make([]Object, 0, r.n)
+	var o payloadObject
+	for {
+		ok, err := r.next(&o)
+		if err != nil || !ok {
+			return df, err
 		}
 		df.Objects = append(df.Objects, Object{
-			ID:    i,
-			Label: Labels[labelIdx],
-			VType: VehicleTypes[typeIdx],
-			Color: Colors[colorIdx],
-			Plate: plate,
-			X:     coords[0], Y: coords[1], W: coords[2], H: coords[3],
+			ID:    o.id,
+			Label: Labels[o.label],
+			VType: VehicleTypes[o.vtype],
+			Color: Colors[o.color],
+			Plate: string(o.plate),
+			X:     o.x, Y: o.y, W: o.w, H: o.h,
 		})
 	}
-	return df, nil
+}
+
+// payloadObject is one object of a frame payload, read in place: its
+// index in the frame, its label, type and color table indices, and its
+// box. plate aliases the payload.
+type payloadObject struct {
+	id                  int
+	label, vtype, color int
+	plate               []byte
+	x, y, w, h          float64
+}
+
+// frameReader walks a payload's objects in place, validating each one
+// as it goes. DecodeFrame and the classifiers' nearestObject both read
+// through it, so they accept the same payloads with the same errors.
+type frameReader struct {
+	payload       []byte
+	frame         int64
+	width, height int
+	n, i, off     int // object count, next object, its offset
+}
+
+func newFrameReader(payload []byte) (frameReader, error) {
+	if len(payload) < 19 {
+		return frameReader{}, fmt.Errorf("vision: short payload (%d bytes)", len(payload))
+	}
+	if binary.LittleEndian.Uint32(payload) != payloadMagic {
+		return frameReader{}, fmt.Errorf("vision: bad payload magic")
+	}
+	if payload[4] != payloadVersion {
+		return frameReader{}, fmt.Errorf("vision: unsupported payload version %d", payload[4])
+	}
+	return frameReader{
+		payload: payload,
+		frame:   int64(binary.LittleEndian.Uint64(payload[5:])),
+		width:   int(binary.LittleEndian.Uint16(payload[13:])),
+		height:  int(binary.LittleEndian.Uint16(payload[15:])),
+		n:       int(binary.LittleEndian.Uint16(payload[17:])),
+		off:     19,
+	}, nil
+}
+
+// next reads the next object into o and reports whether there was one.
+func (r *frameReader) next(o *payloadObject) (bool, error) {
+	if r.i >= r.n {
+		return false, nil
+	}
+	p, off := r.payload, r.off
+	if off+4 > len(p) {
+		return false, fmt.Errorf("vision: truncated object header at %d", off)
+	}
+	o.id, o.label, o.vtype, o.color = r.i, int(p[off]), int(p[off+1]), int(p[off+2])
+	plateLen := int(p[off+3])
+	off += 4
+	if off+plateLen+16 > len(p) {
+		return false, fmt.Errorf("vision: truncated object body at %d", off)
+	}
+	if o.label >= len(Labels) || o.vtype >= len(VehicleTypes) || o.color >= len(Colors) {
+		return false, fmt.Errorf("vision: corrupt object indices at %d", off)
+	}
+	o.plate = p[off : off+plateLen]
+	off += plateLen
+	o.x = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[off:])))
+	o.y = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[off+4:])))
+	o.w = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[off+8:])))
+	o.h = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[off+12:])))
+	r.off, r.i = off+16, r.i+1
+	return true, nil
+}
+
+// nearestObject walks a payload for the object whose center lies
+// nearest (cx, cy), the first such object on ties, without building an
+// object list: the classifiers call it once per (frame, bbox). dist is
+// +Inf when no object has a comparable distance.
+// lint:hotpath classifier payload walk must not allocate per object
+func nearestObject(payload []byte, cx, cy float64) (frame int64, best payloadObject, dist float64, err error) {
+	dist = math.Inf(1)
+	r, err := newFrameReader(payload)
+	if err != nil {
+		return 0, best, dist, err
+	}
+	var o payloadObject
+	for {
+		ok, err := r.next(&o)
+		if err != nil {
+			return 0, best, dist, err
+		}
+		if !ok {
+			return r.frame, best, dist, nil
+		}
+		if d := math.Hypot(cx-(o.x+o.w/2), cy-(o.y+o.h/2)); d < dist {
+			best, dist = o, d
+		}
+	}
 }
 
 func indexOf(vals []string, v string) int {

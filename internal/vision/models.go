@@ -2,7 +2,6 @@ package vision
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -123,8 +122,12 @@ var profiles = map[string]Profile{
 // a materialized view on disk (c_r in §4.2: 1.8 ms).
 const ViewReadCost = 1800 * time.Microsecond
 
-// ProfileFor returns the profile of a physical model.
+// ProfileFor returns the profile of a physical model. The name matches
+// case-insensitively; an exact match skips the case-folding scan.
 func ProfileFor(name string) (Profile, error) {
+	if p, ok := profiles[name]; ok {
+		return p, nil
+	}
 	p, ok := profiles[canonical(name)]
 	if !ok {
 		return Profile{}, fmt.Errorf("vision: unknown model %q", name)
@@ -173,20 +176,32 @@ func (d Detection) Area() float64 { return d.W * d.H }
 // flows through the bbox column ("x,y,w,h" with 4 decimal places).
 func (d Detection) BBox() string { return FormatBBox(d.X, d.Y, d.W, d.H) }
 
-// FormatBBox renders normalized box coordinates canonically.
+// FormatBBox renders normalized box coordinates canonically: each
+// coordinate as %.4f, comma-separated.
 func FormatBBox(x, y, w, h float64) string {
-	return fmt.Sprintf("%.4f,%.4f,%.4f,%.4f", x, y, w, h)
+	var buf [48]byte
+	b := buf[:0]
+	for i, v := range [4]float64{x, y, w, h} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, v, 'f', 4, 64)
+	}
+	return string(b)
 }
 
-// ParseBBox parses the canonical bbox form.
+// ParseBBox parses the canonical bbox form: exactly four
+// comma-separated numbers, each optionally space-padded.
 func ParseBBox(s string) (x, y, w, h float64, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
+	if strings.Count(s, ",") != 3 {
 		return 0, 0, 0, 0, fmt.Errorf("vision: bad bbox %q", s)
 	}
 	var vals [4]float64
-	for i, p := range parts {
-		v, perr := strconv.ParseFloat(strings.TrimSpace(p), 64)
+	rest := s
+	for i := range vals {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
+		v, perr := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if perr != nil {
 			return 0, 0, 0, 0, fmt.Errorf("vision: bad bbox %q: %v", s, perr)
 		}
@@ -234,67 +249,58 @@ func Detect(model string, payload []byte) ([]Detection, error) {
 	return out, nil
 }
 
-// matchObject finds the ground-truth object whose center is nearest to
-// the bbox center (fuzzy matching tolerant of detector jitter); it
-// returns false if nothing is within tolerance.
-func matchObject(df DecodedFrame, x, y, w, h float64) (Object, bool) {
-	cx, cy := x+w/2, y+h/2
-	best, bestDist := Object{}, math.Inf(1)
-	for _, o := range df.Objects {
-		ox, oy := o.X+o.W/2, o.Y+o.H/2
-		d := math.Hypot(cx-ox, cy-oy)
-		if d < bestDist {
-			best, bestDist = o, d
-		}
-	}
-	const tolerance = 0.05
-	return best, bestDist <= tolerance
-}
+// matchTolerance is how far (in normalized units) a bbox center may lie
+// from an object's center and still match it, absorbing detector
+// jitter.
+const matchTolerance = 0.05
 
-// classify is the shared classifier head: it decodes the frame, finds
-// the object under the bbox, and returns attr(object) corrupted with
-// probability 1−ClassAcc (deterministically, so results are reusable).
-func classify(model string, payload []byte, bbox string, attr func(Object) string, domain []string) (string, error) {
+// classify is the shared classifier head: it finds the object under
+// the bbox by walking the frame payload — the ground-truth object
+// whose center is nearest the bbox center, within matchTolerance — and
+// returns attr(object) corrupted with probability 1−ClassAcc
+// (deterministically, so results are reusable).
+// lint:hotpath classifier head runs once per (frame, bbox)
+func classify(model string, payload []byte, bbox string, attr func(payloadObject) string, domain []string) (string, error) {
 	p, err := ProfileFor(model)
 	if err != nil {
 		return "", err
 	}
-	df, err := DecodeFrame(payload)
+	// A malformed payload is reported before a malformed bbox.
+	x, y, w, h, bboxErr := ParseBBox(bbox)
+	frame, obj, dist, err := nearestObject(payload, x+w/2, y+h/2)
 	if err != nil {
 		return "", err
 	}
-	x, y, w, h, err := ParseBBox(bbox)
-	if err != nil {
-		return "", err
+	if bboxErr != nil {
+		return "", bboxErr
 	}
-	obj, ok := matchObject(df, x, y, w, h)
-	if !ok {
+	if dist > matchTolerance {
 		return "unknown", nil
 	}
 	truth := attr(obj)
-	draw := unit(mix(stringSeed(p.Name), uint64(df.Frame), uint64(obj.ID), 0xC1A55))
+	draw := unit(mix(stringSeed(p.Name), uint64(frame), uint64(obj.id), 0xC1A55))
 	if draw < p.ClassAcc || len(domain) == 0 {
 		return truth, nil
 	}
 	// Deterministic misclassification: rotate within the domain.
 	idx := indexOf(domain, truth)
-	shift := 1 + int(mix(stringSeed(p.Name), uint64(df.Frame), uint64(obj.ID), 0x0FF)%uint64(len(domain)-1))
+	shift := 1 + int(mix(stringSeed(p.Name), uint64(frame), uint64(obj.id), 0x0FF)%uint64(len(domain)-1))
 	return domain[(idx+shift)%len(domain)], nil
 }
 
 // ClassifyType runs the vehicle-type classifier (CARTYPE in the paper).
 func ClassifyType(payload []byte, bbox string) (string, error) {
-	return classify(CarTypeModel, payload, bbox, func(o Object) string { return o.VType }, VehicleTypes)
+	return classify(CarTypeModel, payload, bbox, func(o payloadObject) string { return VehicleTypes[o.vtype] }, VehicleTypes)
 }
 
 // ClassifyColor runs the vehicle-color classifier (COLORDET).
 func ClassifyColor(payload []byte, bbox string) (string, error) {
-	return classify(ColorDetModel, payload, bbox, func(o Object) string { return o.Color }, Colors)
+	return classify(ColorDetModel, payload, bbox, func(o payloadObject) string { return Colors[o.color] }, Colors)
 }
 
 // ReadLicense runs the license-plate OCR model (LICENSE).
 func ReadLicense(payload []byte, bbox string) (string, error) {
-	return classify(LicenseModel, payload, bbox, func(o Object) string { return o.Plate }, nil)
+	return classify(LicenseModel, payload, bbox, func(o payloadObject) string { return string(o.plate) }, nil)
 }
 
 // filterSkipConfidence is the fraction of truly empty frames the
